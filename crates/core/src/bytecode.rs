@@ -17,6 +17,8 @@
 //! the `bpf_ktime_get_ns` / `bpf_get_current_pid_tgid` helpers, as in real
 //! eBPF.
 
+use std::sync::Arc;
+
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{OP_JLT, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, SZ_DW, SZ_W};
 use kscope_ebpf::interp::{ExecEnv, Vm};
@@ -136,12 +138,27 @@ impl std::error::Error for BuildError {}
 /// ```
 #[derive(Debug)]
 pub struct BytecodeBackend {
+    /// Everything fixed once the probe is built, shared by every
+    /// instance [`BytecodeBackend::fresh`] makes.
+    code: Arc<ProbeCode>,
     maps: MapRegistry,
     vm: Vm,
+    insns_executed: u64,
+}
+
+/// The immutable part of a probe: the verified programs (whose access
+/// proofs, optimized forms and JIT code are cached inside each
+/// [`Program`]), the map layout their fds index, and the build
+/// parameters. Per-instance state — the maps' contents, the VM's scratch
+/// buffers and the instruction count — lives in [`BytecodeBackend`].
+#[derive(Debug, Clone)]
+struct ProbeCode {
     enter: Program,
     exit: Program,
     net_rx: Option<Program>,
     sock_drain: Option<Program>,
+    /// Every map the programs reference, in creation (= fd) order.
+    layout: Vec<(&'static str, MapDef)>,
     stats_fd: MapFd,
     hist_fd: Option<MapFd>,
     sketch_fd: Option<MapFd>,
@@ -149,8 +166,19 @@ pub struct BytecodeBackend {
     stack_stats_fd: Option<MapFd>,
     shift: u32,
     tgids: Vec<Pid>,
-    insns_executed: u64,
     optimized: bool,
+}
+
+/// Creates a map and records it in the probe's layout, so
+/// [`BytecodeBackend::fresh`] can recreate it under the same fd.
+fn create_map(
+    maps: &mut MapRegistry,
+    layout: &mut Vec<(&'static str, MapDef)>,
+    name: &'static str,
+    def: MapDef,
+) -> MapFd {
+    layout.push((name, def));
+    maps.create(name, def)
 }
 
 impl BytecodeBackend {
@@ -232,12 +260,14 @@ impl BytecodeBackend {
     ) -> Result<BytecodeBackend, BuildError> {
         assert!(!tgids.is_empty(), "observe at least one process");
         let mut maps = MapRegistry::new();
-        let start_fd = maps.create("start", MapDef::hash(8, 8, 4096));
-        let stats_fd = maps.create("stats", MapDef::array(offsets::VALUE_SIZE as u32, 1));
-        let hist_fd = histogram
-            .then(|| maps.create("poll_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1)));
-        let sketch_fd =
-            sketch_capacity.map(|cap| maps.create("topk", MapDef::topk_sketch(8, cap)));
+        let mut layout = Vec::new();
+        let mut create =
+            |name: &'static str, def: MapDef| create_map(&mut maps, &mut layout, name, def);
+        let start_fd = create("start", MapDef::hash(8, 8, 4096));
+        let stats_fd = create("stats", MapDef::array(offsets::VALUE_SIZE as u32, 1));
+        let hist_fd =
+            histogram.then(|| create("poll_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1)));
+        let sketch_fd = sketch_capacity.map(|cap| create("topk", MapDef::topk_sketch(8, cap)));
 
         let send_no = profile.primary(SyscallRole::Send).raw() as i32;
         let recv_no = profile.primary(SyscallRole::Receive).raw() as i32;
@@ -257,22 +287,49 @@ impl BytecodeBackend {
         verifier.verify(&exit, &maps).map_err(BuildError::Verify)?;
 
         Ok(BytecodeBackend {
+            code: Arc::new(ProbeCode {
+                enter,
+                exit,
+                net_rx: None,
+                sock_drain: None,
+                layout,
+                stats_fd,
+                hist_fd,
+                sketch_fd,
+                stack_hist_fd: None,
+                stack_stats_fd: None,
+                shift,
+                tgids,
+                optimized: false,
+            }),
             maps,
             vm: Vm::new(),
-            enter,
-            exit,
-            net_rx: None,
-            sock_drain: None,
-            stats_fd,
-            hist_fd,
-            sketch_fd,
-            stack_hist_fd: None,
-            stack_stats_fd: None,
-            shift,
-            tgids,
             insns_executed: 0,
-            optimized: false,
         })
+    }
+
+    /// A new instance of this probe: the same verified code (shared, not
+    /// copied — so it is verified, optimized and JIT-compiled once for
+    /// every instance), the same dispatcher, and empty maps created from
+    /// the layout under the same fds. Map contents are never copied, so
+    /// `fresh` on a backend that has already run starts from zero, like a
+    /// newly built one.
+    pub fn fresh(&self) -> BytecodeBackend {
+        let mut maps = MapRegistry::new();
+        for &(name, def) in &self.code.layout {
+            maps.create(name, def);
+        }
+        let vm = if self.vm.uses_jit() {
+            Vm::new().with_jit()
+        } else {
+            Vm::new()
+        };
+        BytecodeBackend {
+            code: Arc::clone(&self.code),
+            maps,
+            vm,
+            insns_executed: 0,
+        }
     }
 
     /// Attaches the network-stack probe pair: `kscope_net_rx` on the
@@ -297,15 +354,18 @@ impl BytecodeBackend {
     /// Returns [`BuildError`] if assembly or verification of the netstack
     /// programs fails — a generator bug, as for [`BytecodeBackend::new`].
     pub fn with_netstack(mut self) -> Result<BytecodeBackend, BuildError> {
-        let inflight_fd = self.maps.create("inflight_stack", MapDef::hash(8, 8, 4096));
-        let stack_hist_fd = self
-            .maps
-            .create("stack_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1));
-        let stack_stats_fd = self
-            .maps
-            .create("stack_stats", MapDef::array(stack_offsets::VALUE_SIZE as u32, 1));
+        let code = Arc::make_mut(&mut self.code);
+        let mut create = |name: &'static str, def: MapDef| {
+            create_map(&mut self.maps, &mut code.layout, name, def)
+        };
+        let inflight_fd = create("inflight_stack", MapDef::hash(8, 8, 4096));
+        let stack_hist_fd = create("stack_hist", MapDef::array((HIST_BUCKETS * 8) as u32, 1));
+        let stack_stats_fd = create(
+            "stack_stats",
+            MapDef::array(stack_offsets::VALUE_SIZE as u32, 1),
+        );
         let net_rx = build_net_rx(inflight_fd).map_err(BuildError::Asm)?;
-        let sock_drain = build_sock_drain(self.shift, inflight_fd, stack_stats_fd, stack_hist_fd)
+        let sock_drain = build_sock_drain(code.shift, inflight_fd, stack_stats_fd, stack_hist_fd)
             .map_err(BuildError::Asm)?;
         let verifier = Verifier::new(VerifierConfig {
             ctx_size: NET_CTX_SIZE,
@@ -315,10 +375,10 @@ impl BytecodeBackend {
         verifier
             .verify(&sock_drain, &self.maps)
             .map_err(BuildError::Verify)?;
-        self.net_rx = Some(net_rx);
-        self.sock_drain = Some(sock_drain);
-        self.stack_hist_fd = Some(stack_hist_fd);
-        self.stack_stats_fd = Some(stack_stats_fd);
+        code.net_rx = Some(net_rx);
+        code.sock_drain = Some(sock_drain);
+        code.stack_hist_fd = Some(stack_hist_fd);
+        code.stack_stats_fd = Some(stack_stats_fd);
         Ok(self)
     }
 
@@ -370,36 +430,37 @@ impl BytecodeBackend {
                 None => Ok(None),
             }
         };
-        if let Some(opt) = optimize(&self.enter, CTX_SIZE, &self.maps)? {
-            self.enter = opt;
+        let code = Arc::make_mut(&mut self.code);
+        if let Some(opt) = optimize(&code.enter, CTX_SIZE, &self.maps)? {
+            code.enter = opt;
         }
-        if let Some(opt) = optimize(&self.exit, CTX_SIZE, &self.maps)? {
-            self.exit = opt;
+        if let Some(opt) = optimize(&code.exit, CTX_SIZE, &self.maps)? {
+            code.exit = opt;
         }
-        if let Some(prog) = &self.net_rx {
+        if let Some(prog) = &code.net_rx {
             if let Some(opt) = optimize(prog, NET_CTX_SIZE, &self.maps)? {
-                self.net_rx = Some(opt);
+                code.net_rx = Some(opt);
             }
         }
-        if let Some(prog) = &self.sock_drain {
+        if let Some(prog) = &code.sock_drain {
             if let Some(opt) = optimize(prog, NET_CTX_SIZE, &self.maps)? {
-                self.sock_drain = Some(opt);
+                code.sock_drain = Some(opt);
             }
         }
-        self.optimized = true;
+        code.optimized = true;
         Ok(self)
     }
 
     /// True when the probe runs statically optimized programs.
     pub fn uses_optimizer(&self) -> bool {
-        self.optimized
+        self.code.optimized
     }
 
     /// Certified worst-case cost of the (enter, exit) programs, as the
     /// probe will execute them (optimized forms when
     /// [`BytecodeBackend::with_optimizer`] was applied).
     pub fn cost_reports(&self) -> (Option<CostReport>, Option<CostReport>) {
-        (cost_report(&self.enter), cost_report(&self.exit))
+        (cost_report(&self.code.enter), cost_report(&self.code.exit))
     }
 
     /// Registration gate: checks both programs carry a finite certified
@@ -410,9 +471,10 @@ impl BytecodeBackend {
     /// Returns [`BuildError::CostBudget`] naming the offending program
     /// when a bound is missing or exceeds the budget.
     pub fn check_cost_budget(&self, budget_insns: u64) -> Result<(), BuildError> {
-        let mut progs = vec![&self.enter, &self.exit];
-        progs.extend(self.net_rx.iter());
-        progs.extend(self.sock_drain.iter());
+        let code = &*self.code;
+        let mut progs = vec![&code.enter, &code.exit];
+        progs.extend(code.net_rx.iter());
+        progs.extend(code.sock_drain.iter());
         for prog in progs {
             let over = |bound| BuildError::CostBudget {
                 program: prog.name().to_string(),
@@ -432,7 +494,7 @@ impl BytecodeBackend {
 
     /// The processes being observed.
     pub fn tgids(&self) -> &[Pid] {
-        &self.tgids
+        &self.code.tgids
     }
 
     /// Total eBPF instructions executed so far (the interpreter cost model).
@@ -443,14 +505,14 @@ impl BytecodeBackend {
     /// The assembled `sys_enter` and `sys_exit` programs, in that order
     /// (for acceptance-corpus tests and tooling).
     pub fn programs(&self) -> (&Program, &Program) {
-        (&self.enter, &self.exit)
+        (&self.code.enter, &self.code.exit)
     }
 
     /// The assembled netstack programs `(kscope_net_rx,
     /// kscope_sock_drain)`, or `None` when the backend was built without
     /// [`BytecodeBackend::with_netstack`].
     pub fn net_programs(&self) -> Option<(&Program, &Program)> {
-        Some((self.net_rx.as_ref()?, self.sock_drain.as_ref()?))
+        Some((self.code.net_rx.as_ref()?, self.code.sock_drain.as_ref()?))
     }
 
     /// The map registry backing the programs.
@@ -460,7 +522,7 @@ impl BytecodeBackend {
 
     /// Disassembly of both programs (for documentation and debugging).
     pub fn disassembly(&self) -> String {
-        format!("{}\n{}", self.enter.disassemble(), self.exit.disassemble())
+        format!("{}\n{}", self.code.enter.disassemble(), self.code.exit.disassemble())
     }
 
     /// Array-map slot 0 of one of this backend's own maps. Both the
@@ -481,14 +543,14 @@ impl BytecodeBackend {
     }
 
     fn stats_value(&self) -> Vec<u8> {
-        Self::slot0(&self.maps, self.stats_fd).to_vec()
+        Self::slot0(&self.maps, self.code.stats_fd).to_vec()
     }
 
     /// The in-probe log2 histogram of scaled poll durations, or `None`
     /// when the backend was built without one. Bucket `i` counts polls
     /// with `floor(log2(max(duration >> shift, 1))) == i`.
     pub fn poll_histogram(&self) -> Option<[u64; HIST_BUCKETS]> {
-        let fd = self.hist_fd?;
+        let fd = self.code.hist_fd?;
         let value = Self::slot0(&self.maps, fd);
         let mut out = [0u64; HIST_BUCKETS];
         for (i, chunk) in value.chunks_exact(8).enumerate() {
@@ -505,7 +567,7 @@ impl BytecodeBackend {
     /// [`BytecodeBackend::with_netstack`]. Cumulative across windows
     /// (never reset by `reset_window`), like the entity sketch.
     pub fn stack_histogram(&self) -> Option<[u64; HIST_BUCKETS]> {
-        let fd = self.stack_hist_fd?;
+        let fd = self.code.stack_hist_fd?;
         let value = Self::slot0(&self.maps, fd);
         let mut out = [0u64; HIST_BUCKETS];
         for (i, chunk) in value.chunks_exact(8).enumerate() {
@@ -520,7 +582,7 @@ impl BytecodeBackend {
     /// The netstack probe's scalar stats cells, or `None` without
     /// [`BytecodeBackend::with_netstack`]. Cumulative across windows.
     pub fn stack_counters(&self) -> Option<StackCounters> {
-        let fd = self.stack_stats_fd?;
+        let fd = self.code.stack_stats_fd?;
         let value = Self::slot0(&self.maps, fd);
         let cell = |off: usize| -> u64 {
             match value[off..off + 8].try_into() {
@@ -541,7 +603,7 @@ impl BytecodeBackend {
     /// is never reset by `reset_window`), matching the cumulative
     /// counters the fleet's report envelopes carry.
     pub fn entity_sketch(&self) -> Option<&kscope_ebpf::SketchState> {
-        let fd = self.sketch_fd?;
+        let fd = self.code.sketch_fd?;
         match self.maps.sketch_state(fd) {
             Ok(state) => Some(state),
             Err(e) => unreachable!("backend-owned sketch map missing: {e:?}"),
@@ -558,8 +620,8 @@ impl MetricBackend for BytecodeBackend {
                 syscall_buf[..8].copy_from_slice(&(ctx.no.raw() as u64).to_le_bytes());
                 syscall_buf[8..16].copy_from_slice(&(ctx.ret as u64).to_le_bytes());
                 let program = match ctx.phase {
-                    TracePhase::Enter => &self.enter,
-                    _ => &self.exit,
+                    TracePhase::Enter => &self.code.enter,
+                    _ => &self.code.exit,
                 };
                 (program, &syscall_buf)
             }
@@ -568,8 +630,8 @@ impl MetricBackend for BytecodeBackend {
                 // have no program — real eBPF simply wouldn't be attached
                 // there, so the firing is free.
                 let program = match ctx.phase {
-                    TracePhase::NetRxSoftirq => self.net_rx.as_ref(),
-                    _ => self.sock_drain.as_ref(),
+                    TracePhase::NetRxSoftirq => self.code.net_rx.as_ref(),
+                    _ => self.code.sock_drain.as_ref(),
                 };
                 let Some(program) = program else {
                     return Nanos::ZERO;
@@ -596,11 +658,11 @@ impl MetricBackend for BytecodeBackend {
     }
 
     fn counters(&self) -> RawCounters {
-        RawCounters::decode(self.shift, &self.stats_value())
+        RawCounters::decode(self.code.shift, &self.stats_value())
     }
 
     fn reset_window(&mut self) {
-        let value = Self::slot0_mut(&mut self.maps, self.stats_fd);
+        let value = Self::slot0_mut(&mut self.maps, self.code.stats_fd);
         // Zero everything except the two last-timestamp cells, which chain
         // deltas across window boundaries.
         for off in [
@@ -617,7 +679,7 @@ impl MetricBackend for BytecodeBackend {
         ] {
             value[off..off + 8].copy_from_slice(&0u64.to_le_bytes());
         }
-        if let Some(fd) = self.hist_fd {
+        if let Some(fd) = self.code.hist_fd {
             Self::slot0_mut(&mut self.maps, fd).fill(0);
         }
     }
@@ -1393,5 +1455,80 @@ mod tests {
         assert_eq!(Some(hist), MetricBackend::stack_histogram(&native));
         assert_eq!(expect.count, 3);
         assert_eq!(expect.misses, 1);
+    }
+
+    #[test]
+    fn fresh_shares_code_and_starts_from_empty_maps() {
+        let build = || {
+            BytecodeBackend::new_with_histogram_and_sketch(
+                1200,
+                SyscallProfile::data_caching(),
+                0,
+                8,
+            )
+            .unwrap()
+            .with_netstack()
+            .unwrap()
+        };
+        let mut stream = Vec::new();
+        for (i, tid) in [1, 2, 1, 3].into_iter().enumerate() {
+            let t = 1_000 * (i as u64 + 1);
+            let request = i as u64;
+            stream.push(ctx(TracePhase::Enter, SyscallNo::EPOLL_WAIT, tid, t));
+            stream.push(net_ctx(
+                TracePhase::NetRxSoftirq,
+                request,
+                2_000,
+                64,
+                (t + 50) * 1_000,
+            ));
+            stream.push(ctx(TracePhase::Exit, SyscallNo::EPOLL_WAIT, tid, t + 100));
+            stream.push(net_ctx(
+                TracePhase::SockQueueDrain,
+                request,
+                0,
+                0,
+                (t + 200) * 1_000,
+            ));
+            stream.push(ctx(TracePhase::Exit, SyscallNo::RECVMSG, tid, t + 300));
+            stream.push(ctx(TracePhase::Exit, SyscallNo::SENDMSG, tid, t + 400));
+        }
+        let mut used = build();
+        for ev in &stream {
+            used.on_event(ev);
+        }
+        assert!(used.counters().events > 0 && used.stack_counters().unwrap().count > 0);
+
+        let mut fresh = used.fresh();
+        assert!(
+            Arc::ptr_eq(&used.code, &fresh.code),
+            "fresh must share the programs"
+        );
+        let mut built = build();
+        assert_eq!(fresh.counters(), built.counters());
+        assert_eq!(fresh.counters().events, 0);
+        assert_eq!(fresh.poll_histogram(), Some([0; HIST_BUCKETS]));
+        assert_eq!(
+            BytecodeBackend::stack_histogram(&fresh),
+            Some([0; HIST_BUCKETS])
+        );
+        assert_eq!(fresh.stack_counters(), Some(StackCounters::default()));
+        let sketch = fresh.entity_sketch().expect("sketch enabled");
+        assert_eq!((sketch.update_count(), sketch.total_weight()), (0, 0));
+        assert_eq!(fresh.insns_executed(), 0);
+
+        for ev in &stream {
+            fresh.on_event(ev);
+            built.on_event(ev);
+        }
+        assert_eq!(fresh.counters(), built.counters());
+        assert_eq!(fresh.counters(), used.counters());
+        assert_eq!(fresh.stack_counters(), built.stack_counters());
+        assert_eq!(fresh.entity_sketch(), built.entity_sketch());
+        assert_eq!(fresh.insns_executed(), built.insns_executed());
+        assert!(
+            build().with_jit().fresh().uses_jit(),
+            "fresh keeps the dispatcher"
+        );
     }
 }

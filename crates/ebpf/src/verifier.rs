@@ -148,7 +148,8 @@ pub enum VerifyError {
         /// Instruction pc.
         pc: usize,
     },
-    /// Arithmetic that would corrupt a pointer.
+    /// Arithmetic that would corrupt a pointer, or move its offset out
+    /// of `±2^29` (Linux's `BPF_MAX_VAR_OFF`).
     PointerArith {
         /// Instruction pc.
         pc: usize,
@@ -1893,10 +1894,10 @@ impl Verifier {
                     }
                     // A bounded unknown scalar is fine: the pointer keeps
                     // an offset interval and every later access is checked
-                    // against it. Saturating endpoints never panic; a
-                    // saturated offset is simply out of bounds at access
-                    // time.
-                    adjust_ptr_range(ptr, op, s)
+                    // against it. Offsets outside ±MAX_VAR_OFF are
+                    // rejected here, so the interval never nears
+                    // wrap-around.
+                    adjust_ptr_range(ptr, op, s).ok_or(VerifyError::PointerArith { pc })?
                 }
                 _ => return Err(VerifyError::PointerArith { pc }),
             },
@@ -2291,23 +2292,36 @@ fn is_ptr(t: RegType) -> bool {
     )
 }
 
+/// Bound on every pointer offset and on every scalar added to or
+/// subtracted from a pointer (Linux's `BPF_MAX_VAR_OFF`). Regions are far
+/// smaller, so this rejects nothing a real access could use, and it keeps
+/// every accepted offset interval — plus an instruction's 16-bit
+/// displacement and access size — far from `i64` wrap-around.
+const MAX_VAR_OFF: i64 = 1 << 29;
+
 /// Pointer ± scalar: shifts the offset interval by the scalar's signed
-/// range. Saturating endpoints never panic; any overflowed interval is
-/// rejected at the next access check.
-fn adjust_ptr_range(ptr: RegType, op: u8, s: Scalar) -> RegType {
+/// range. `None` (a rejection) when the scalar or either endpoint of the
+/// result leaves `(-MAX_VAR_OFF, MAX_VAR_OFF)`, the way Linux's
+/// `check_reg_sane_offset` rejects; the arithmetic is checked, so no
+/// endpoint is ever clamped into range.
+fn adjust_ptr_range(ptr: RegType, op: u8, s: Scalar) -> Option<RegType> {
+    let sane = |v: i64| (-MAX_VAR_OFF < v && v < MAX_VAR_OFF).then_some(v);
+    let (smin, smax) = (sane(s.smin)?, sane(s.smax)?);
     let (dmin, dmax) = if op == OP_ADD {
-        (s.smin, s.smax)
+        (smin, smax)
     } else {
-        (s.smax.saturating_neg(), s.smin.saturating_neg())
+        (smax.checked_neg()?, smin.checked_neg()?)
     };
-    let shift = |lo: i64, hi: i64| (lo.saturating_add(dmin), hi.saturating_add(dmax));
-    match ptr {
+    let shift = |lo: i64, hi: i64| -> Option<(i64, i64)> {
+        Some((sane(lo.checked_add(dmin)?)?, sane(hi.checked_add(dmax)?)?))
+    };
+    Some(match ptr {
         RegType::PtrCtx { lo, hi } => {
-            let (lo, hi) = shift(lo, hi);
+            let (lo, hi) = shift(lo, hi)?;
             RegType::PtrCtx { lo, hi }
         }
         RegType::PtrStack { lo, hi } => {
-            let (lo, hi) = shift(lo, hi);
+            let (lo, hi) = shift(lo, hi)?;
             RegType::PtrStack { lo, hi }
         }
         RegType::PtrMapValue {
@@ -2316,7 +2330,7 @@ fn adjust_ptr_range(ptr: RegType, op: u8, s: Scalar) -> RegType {
             value_size,
             nullable,
         } => {
-            let (lo, hi) = shift(lo, hi);
+            let (lo, hi) = shift(lo, hi)?;
             RegType::PtrMapValue {
                 lo,
                 hi,
@@ -2325,7 +2339,7 @@ fn adjust_ptr_range(ptr: RegType, op: u8, s: Scalar) -> RegType {
             }
         }
         other => other,
-    }
+    })
 }
 
 #[derive(Debug)]

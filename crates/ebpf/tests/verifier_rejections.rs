@@ -6,15 +6,17 @@
 //! check, so rejection and diagnostic paths can't silently lose
 //! coverage. A third table pins the value-tracking bounds checks:
 //! register-offset accesses whose intervals do *not* provably fit must
-//! still be rejected.
+//! still be rejected. A fourth pins pointer-offset wrap-around: offset
+//! arithmetic that could overflow `i64` is rejected where it happens.
 
 use kscope_ebpf::asm::Asm;
 use kscope_ebpf::insn::{
-    Insn, OP_ADD, OP_AND, OP_DIV, OP_MUL, R0, R1, R2, R6, R7, R10, SZ_DW, SZ_W,
+    Insn, OP_ADD, OP_AND, OP_DIV, OP_MUL, R0, R1, R2, R3, R6, R7, R10, SZ_DW, SZ_W,
 };
 use kscope_ebpf::maps::{MapDef, MapRegistry};
+use kscope_ebpf::interp::ExecEnv;
 use kscope_ebpf::verifier::{Verifier, VerifyError, VerifyWarning};
-use kscope_ebpf::{Helper, Program};
+use kscope_ebpf::{Helper, Program, Vm};
 
 struct Case {
     /// Which `VerifyError` variant this program must trigger.
@@ -454,7 +456,9 @@ fn dead_store_analysis_tracks_reads() {
 // --- value-tracking bounds rejections ---
 
 /// Register-offset accesses whose interval does not provably fit are
-/// still rejected: value tracking admits proofs, not hopes.
+/// still rejected: value tracking admits proofs, not hopes. An offset
+/// with no sane bound at all is rejected at the pointer arithmetic
+/// itself; a bounded one that overshoots its region, at the access.
 #[test]
 fn unproven_register_offsets_stay_rejected() {
     // Completely unclamped context word used as a stack offset.
@@ -498,16 +502,22 @@ fn unproven_register_offsets_stay_rejected() {
         .assemble()
         .unwrap();
 
+    let pointer_arith = |e: &VerifyError| matches!(e, VerifyError::PointerArith { .. });
+    let out_of_bounds = |e: &VerifyError| matches!(e, VerifyError::OutOfBounds { .. });
     let maps = MapRegistry::new();
-    for (name, prog) in [
-        ("unclamped", &unclamped),
-        ("too-wide", &too_wide),
-        ("jmp32-guard", &jmp32_guard),
+    for (name, prog, expected) in [
+        (
+            "unclamped",
+            &unclamped,
+            &pointer_arith as &dyn Fn(&VerifyError) -> bool,
+        ),
+        ("too-wide", &too_wide, &out_of_bounds),
+        ("jmp32-guard", &jmp32_guard, &pointer_arith),
     ] {
         let err = Verifier::default().verify(prog, &maps).unwrap_err();
         assert!(
-            matches!(err, VerifyError::OutOfBounds { .. }),
-            "{name}: expected OutOfBounds, got {err:?}\n{}",
+            expected(&err),
+            "{name}: unexpected rejection {err:?}\n{}",
             prog.disassemble()
         );
     }
@@ -536,4 +546,105 @@ fn var_offset_load_needs_fully_initialized_window() {
         "expected UninitStackRead, got {err:?}\n{}",
         prog.disassemble()
     );
+}
+
+/// Looks up slot 0 of a one-entry 8-byte array map into `r0` and exits
+/// on NULL, then runs `body` on the value pointer in `r0`.
+fn with_map_value(maps: &mut MapRegistry, name: &str, body: fn(Asm) -> Asm) -> Program {
+    let fd = maps.create("v", MapDef::array(8, 1));
+    let asm = Asm::new(name)
+        .store_imm(SZ_W, R10, -4, 0)
+        .ld_map_fd(R1, fd)
+        .mov64_reg(R2, R10)
+        .add64_imm(R2, -4)
+        .call(Helper::MapLookupElem)
+        .jeq_imm(R0, 0, "out");
+    body(asm)
+        .label("out")
+        .mov64_imm(R0, 0)
+        .exit()
+        .assemble()
+        .unwrap()
+}
+
+/// Pointer offsets that wrap `i64` are rejected at the arithmetic. In
+/// each program an exact interval tracker would think the final access
+/// is in bounds (the two subtractions sum to `2^64 - 1`, not `-1`); the
+/// interpreter and the unelided JIT fault there, and the JIT with bounds
+/// elision would read past the region.
+#[test]
+fn pointer_offset_wrap_is_rejected() {
+    type Build = fn(&mut MapRegistry) -> Program;
+    let cases: [(&str, Build); 4] = [
+        ("map-value-sub-i64-min", |maps| {
+            with_map_value(maps, "map-wrap", |asm| {
+                asm.ld_dw(R2, 0x7FFF_FFFF_FFFF_FFFF)
+                    .sub64_reg(R0, R2)
+                    .ld_dw(R2, 0x8000_0000_0000_0000)
+                    .sub64_reg(R0, R2)
+                    .load(SZ_DW, R1, R0, 0)
+            })
+        }),
+        ("stack-sub-i64-min", |_| {
+            Asm::new("stack-wrap")
+                .mov64_reg(R2, R10)
+                .ld_dw(R3, 0x7FFF_FFFF_FFFF_FFFF)
+                .sub64_reg(R2, R3)
+                .ld_dw(R3, 0x8000_0000_0000_0000)
+                .sub64_reg(R2, R3)
+                .load(SZ_DW, R0, R2, -8)
+                .exit()
+                .assemble()
+                .unwrap()
+        }),
+        ("ctx-add-i64-max", |_| {
+            Asm::new("ctx-wrap")
+                .ld_dw(R2, 0x7FFF_FFFF_FFFF_FFFF)
+                .add64_reg(R1, R2)
+                .add64_imm(R1, 1)
+                .load(SZ_DW, R0, R1, 0)
+                .exit()
+                .assemble()
+                .unwrap()
+        }),
+        ("stack-past-max-var-off", |_| {
+            // Both steps fit `i64` easily; the first alone already moves
+            // the pointer past the ±2^29 sane-offset bound.
+            Asm::new("stack-far")
+                .mov64_reg(R2, R10)
+                .ld_dw(R3, 1 << 29)
+                .add64_reg(R2, R3)
+                .sub64_reg(R2, R3)
+                .load(SZ_DW, R0, R2, -8)
+                .exit()
+                .assemble()
+                .unwrap()
+        }),
+    ];
+    for (name, build) in cases {
+        let mut maps = MapRegistry::new();
+        let prog = build(&mut maps);
+        match Verifier::default().verify(&prog, &maps) {
+            Err(VerifyError::PointerArith { .. }) => {}
+            other => panic!(
+                "{name}: expected PointerArith, got {other:?}\n{}",
+                prog.disassemble()
+            ),
+        }
+    }
+
+    // The bound rejects nothing a real access could use: a round trip
+    // that stays inside it still verifies and runs.
+    let mut maps = MapRegistry::new();
+    let round_trip = with_map_value(&mut maps, "map-round-trip", |asm| {
+        asm.ld_dw(R2, (1 << 29) - 1)
+            .add64_reg(R0, R2)
+            .sub64_reg(R0, R2)
+            .load(SZ_DW, R1, R0, 0)
+    });
+    Verifier::default()
+        .verify(&round_trip, &maps)
+        .expect("in-range round trip verifies");
+    let run = Vm::new().execute(&round_trip, &[], &mut maps, &mut ExecEnv::default());
+    assert!(run.is_ok(), "verified program faulted: {run:?}");
 }

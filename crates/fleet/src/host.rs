@@ -1,8 +1,10 @@
 //! One simulated fleet member: a full single-host kscope stack plus the
 //! report-producing side of the control channel.
 
+use std::sync::Arc;
+
 use kscope_core::{
-    Agent, BytecodeBackend, Log2Hist, RawCounters, RpsEstimator, SaturationAssessment,
+    Agent, BuildError, BytecodeBackend, Log2Hist, RawCounters, RpsEstimator, SaturationAssessment,
     SaturationDetector, SlackAssessment, SlackEstimator, StackDelay, TopKSketch, WindowedObserver,
 };
 use kscope_kernel::{HostSpec, Kernel, ProbeId, SchedConfig};
@@ -126,8 +128,9 @@ pub struct SimHost {
     cum: RawCounters,
     cum_hist: Log2Hist,
     /// Inverse-CDF table for the Zipf-skewed entity draw: `entity_cdf[i]`
-    /// is the cumulative weight of entities `0..=i`.
-    entity_cdf: Vec<f64>,
+    /// is the cumulative weight of entities `0..=i`. The same for every
+    /// host of a run, so shared.
+    entity_cdf: Arc<[f64]>,
     /// Exact per-entity request counts (ground truth the sketch's Top-K
     /// is judged against).
     entity_counts: Vec<u64>,
@@ -147,18 +150,22 @@ impl std::fmt::Debug for SimHost {
     }
 }
 
-impl SimHost {
-    /// Builds host `id`'s full stack. RNG streams derive from
-    /// `config.seed` and `id` alone — never from how many hosts were
-    /// built before this one — so hosts can be simulated independently,
-    /// in any order, on any worker count, bit-identically.
-    pub fn new(config: &FleetConfig, id: u32) -> Result<SimHost, kscope_core::BuildError> {
+/// What every host of a run shares: the probe, assembled, verified,
+/// optimized and cost-gated once (hosts take [`BytecodeBackend::fresh`]
+/// instances of it), and the Zipf entity table.
+pub(crate) struct HostTemplate {
+    probe: BytecodeBackend,
+    entity_cdf: Arc<[f64]>,
+}
+
+impl HostTemplate {
+    /// Builds the fleet probe `config` describes and the entity table.
+    pub(crate) fn build(config: &FleetConfig) -> Result<HostTemplate, BuildError> {
         // Every host runs the server under the same pid, so an entity
         // (`pid_tgid` of the serving thread, drawn from the shared pool)
         // has the same sketch key fleet-wide and merges across hosts.
-        let pid: Pid = SimHost::SERVER_PID;
         let mut backend = BytecodeBackend::new_with_histogram_and_sketch(
-            pid,
+            SimHost::SERVER_PID,
             SyscallProfile::data_caching(),
             config.shift,
             config.sketch_capacity,
@@ -175,6 +182,46 @@ impl SimHost {
         if let Some(budget) = config.probe_cost_budget {
             backend.check_cost_budget(budget)?;
         }
+        // Zipf(s≈1.2) over the shared entity pool: entity i carries
+        // weight (i+1)^-1.2, so a handful of threads dominate — the
+        // heavy hitters the sketch must surface.
+        let mut acc = 0.0f64;
+        let entity_cdf = (0..config.entities)
+            .map(|i| {
+                acc += f64::from(i + 1).powf(-1.2);
+                acc
+            })
+            .collect();
+        Ok(HostTemplate {
+            probe: backend,
+            entity_cdf,
+        })
+    }
+
+    /// Host `id` of the run, on its own empty instance of the probe.
+    pub(crate) fn host(&self, config: &FleetConfig, id: u32) -> SimHost {
+        SimHost::assemble(config, id, self.probe.fresh(), Arc::clone(&self.entity_cdf))
+    }
+}
+
+impl SimHost {
+    /// Builds host `id`'s full stack: a one-host run's template, used as
+    /// the host's own probe. RNG streams derive from `config.seed` and
+    /// `id` alone — never from how many hosts were built before this one
+    /// — so hosts can be simulated independently, in any order, on any
+    /// worker count, bit-identically.
+    pub fn new(config: &FleetConfig, id: u32) -> Result<SimHost, BuildError> {
+        let HostTemplate { probe, entity_cdf } = HostTemplate::build(config)?;
+        Ok(SimHost::assemble(config, id, probe, entity_cdf))
+    }
+
+    /// Wires host `id`'s stack around its probe instance.
+    fn assemble(
+        config: &FleetConfig,
+        id: u32,
+        backend: BytecodeBackend,
+        entity_cdf: Arc<[f64]>,
+    ) -> SimHost {
         let observer = WindowedObserver::new(backend, config.window);
         let mut kernel = Kernel::for_host(HostSpec::amd_epyc_7302(), SchedConfig::default());
         let probe = kernel.tracing.attach(Box::new(observer));
@@ -190,21 +237,12 @@ impl SimHost {
         // Stagger host start times slightly so per-host event streams are
         // not phase-locked.
         let cursor = Nanos::from_nanos(u64::from(id) * 1_000);
-        // Zipf(s≈1.2) over the shared entity pool: entity i carries
-        // weight (i+1)^-1.2, so a handful of threads dominate — the
-        // heavy hitters the sketch must surface.
-        let mut entity_cdf = Vec::with_capacity(config.entities as usize);
-        let mut acc = 0.0f64;
-        for i in 0..config.entities {
-            acc += f64::from(i + 1).powf(-1.2);
-            entity_cdf.push(acc);
-        }
         let mut master = SimRng::seed_from_u64(config.seed);
         let rng = master.fork(u64::from(id));
         let link_rng = master.fork(1_000_000 + u64::from(id));
-        Ok(SimHost {
+        SimHost {
             id,
-            pid,
+            pid: SimHost::SERVER_PID,
             kernel,
             probe,
             agent,
@@ -226,7 +264,7 @@ impl SimHost {
             entity_counts: vec![0; config.entities as usize],
             inflight: 0,
             truth: HostTruth::default(),
-        })
+        }
     }
 
     /// The tgid every simulated server runs under (shared fleet-wide so

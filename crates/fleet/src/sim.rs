@@ -19,7 +19,7 @@ use kscope_simcore::{Engine, Nanos, Scheduler, Simulation};
 
 use crate::collector::{Accounting, Collector, FleetRollup, Transport};
 use crate::config::FleetConfig;
-use crate::host::{HostTruth, ReportEnvelope, SimHost};
+use crate::host::{HostTemplate, HostTruth, ReportEnvelope, SimHost};
 
 /// Events on one host's engine. Ties at the same instant resolve in
 /// schedule order (the engine's FIFO tie-break), so the interleaving of
@@ -93,10 +93,11 @@ struct HostOutcome {
 }
 
 /// Runs one host start to finish on its own engine. The event stream
-/// (and thus the outcome) is a pure function of `config` and `id`.
-fn simulate_host(config: &FleetConfig, id: u32) -> Result<HostOutcome, BuildError> {
+/// (and thus the outcome) is a pure function of `config` and the host's
+/// id.
+fn simulate_host(config: &FleetConfig, mut host: SimHost) -> HostOutcome {
     let horizon = config.horizon();
-    let mut host = SimHost::new(config, id)?;
+    let id = host.id();
     let mut engine: Engine<HostEvent> = Engine::new();
     engine.schedule(host.first_request_at(), HostEvent::Request);
     // Report ticks sit just past each window boundary, staggered per
@@ -118,12 +119,12 @@ fn simulate_host(config: &FleetConfig, id: u32) -> Result<HostOutcome, BuildErro
         arrivals: Vec::new(),
     };
     engine.run(&mut sim);
-    Ok(HostOutcome {
+    HostOutcome {
         truth: sim.host.truth,
         link: *sim.host.link_stats(),
         entity_counts: sim.host.entity_counts().to_vec(),
         arrivals: sim.arrivals,
-    })
+    }
 }
 
 /// A completed fleet run: the collector's state plus per-host ground
@@ -215,26 +216,29 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRun, BuildError> {
     run_fleet_jobs(config, 1)
 }
 
-/// Runs a fleet to completion on up to `jobs` workers: each host's
-/// stack is simulated independently (traffic, report ticks, channel
-/// transits), then the arrivals feed the collector in host-id order.
-/// Per-host outcomes are pure functions of `(config, id)`, so the run
-/// is bit-identical at any `jobs`.
+/// Runs a fleet to completion on up to `jobs` workers: the probe is
+/// built, verified and cost-gated once, then each host's stack is
+/// simulated independently on its own instance of it (traffic, report
+/// ticks, channel transits), and the arrivals feed the collector in
+/// host-id order. Per-host outcomes are pure functions of
+/// `(config, id)`, so the run is bit-identical at any `jobs`.
 ///
 /// # Errors
 ///
 /// Returns the probe build error if the bytecode program fails to
-/// assemble or verify — a builder bug, not an input condition.
+/// assemble or verify, or misses the configured cost budget.
 pub fn run_fleet_jobs(config: &FleetConfig, jobs: usize) -> Result<FleetRun, BuildError> {
     let horizon = config.horizon();
+    let template = HostTemplate::build(config)?;
     let ids: Vec<u32> = (0..config.hosts as u32).collect();
-    let outcomes = map_indexed(&ids, jobs, |_, &id| simulate_host(config, id));
+    let outcomes = map_indexed(&ids, jobs, |_, &id| {
+        simulate_host(config, template.host(config, id))
+    });
 
     let mut collector = Collector::new(config.hosts, config.shift, config.min_send_samples);
     let mut truth = Vec::with_capacity(config.hosts);
     let mut entity_truth = vec![0u64; config.entities as usize];
     for outcome in outcomes {
-        let outcome = outcome?;
         for (at, envelope) in outcome.arrivals {
             collector.receive(envelope, at);
         }

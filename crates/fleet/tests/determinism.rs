@@ -2,7 +2,7 @@
 //! plane: the rolled-up report must be byte-identical across worker
 //! counts and across reruns of the same seed.
 
-use kscope_fleet::{report_to_json, run_fleet, FleetConfig};
+use kscope_fleet::{report_to_json, run_fleet, run_fleet_jobs, FleetConfig};
 
 fn run(config: &FleetConfig) -> kscope_fleet::FleetRun {
     match run_fleet(config) {
@@ -63,6 +63,31 @@ fn optimized_probes_do_not_change_a_byte() {
     assert_eq!(a, b, "optimized probes changed a byte of the fleet report");
     let c = report_to_json(&base, &run(&opt_jit).rollup(4));
     assert_eq!(a, c, "optimized+JIT probes changed a byte of the fleet report");
+}
+
+#[test]
+fn shared_jit_code_across_workers_does_not_change_a_byte() {
+    // Every host of a run executes the same verified programs, and under
+    // the JIT the same native code: here four workers run hosts on one
+    // shared `JitProgram` per probe. The rollup must match the
+    // one-worker interpreter run byte for byte.
+    let interp = FleetConfig::quick(16).with_loss(0.1);
+    let simulate = |config: &FleetConfig, jobs: usize| match run_fleet_jobs(config, jobs) {
+        Ok(run) => report_to_json(&interp, &run.rollup(1)),
+        Err(e) => panic!("fleet build failed: {e:?}"),
+    };
+    let reference = simulate(&interp, 1);
+    for config in [
+        interp.clone().with_jit_probes(),
+        interp.clone().with_optimized_probes().with_jit_probes(),
+    ] {
+        assert_eq!(
+            reference,
+            simulate(&config, 4),
+            "shared code on 4 workers changed a byte (optimized: {})",
+            config.optimized_probes
+        );
+    }
 }
 
 #[test]
